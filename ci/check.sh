@@ -43,8 +43,8 @@
 #      telemetry micro ratio is gated at OVERHEAD_TOLERANCE (absolute
 #      wall times vs. committed baselines warn unless BENCH_STRICT=1).
 #  10. arena front-end gate: BENCH_PR8.json structure; corpus_verdicts
-#      dumps must be byte-identical between --parse-threads 1 and
-#      --parse-threads 4 (parallel parsing is behaviorally invisible);
+#      dumps must be byte-identical between --parse-threads 1, 4 and
+#      0 (auto; parallel parsing is behaviorally invisible);
 #      and the same-run BM_ParsePreArena / BM_Parse ratio — the arena
 #      front end vs. the PR7-era front end frozen in bench/prearena/ —
 #      must be >= the committed arena_speedup_min (machine-independent
@@ -717,20 +717,27 @@ PY
 
   # Parallel parsing must be behaviorally invisible: the corpus dump —
   # verdicts, findings, s-exprs, witnesses, fingerprints on all 44 apps
-  # — must be byte-identical between a serial and a 4-thread parse.
+  # — must be byte-identical between a serial, a 4-thread and an auto
+  # (0: thread count from the host's cores) parse.
   PP_DIR="$SMOKE_DIR/parse_pool"
   mkdir -p "$PP_DIR"
   "$BUILD_DIR/examples/corpus_verdicts" --parse-threads 1 \
     > "$PP_DIR/verdicts_serial.txt"
-  "$BUILD_DIR/examples/corpus_verdicts" --parse-threads 4 \
-    > "$PP_DIR/verdicts_parallel.txt"
-  if ! cmp -s "$PP_DIR/verdicts_serial.txt" "$PP_DIR/verdicts_parallel.txt"; then
-    echo "FAIL: corpus verdicts differ between serial and parallel parse" >&2
-    diff "$PP_DIR/verdicts_serial.txt" "$PP_DIR/verdicts_parallel.txt" | head >&2
-    exit 1
-  fi
+  for threads in 4 0; do
+    "$BUILD_DIR/examples/corpus_verdicts" --parse-threads "$threads" \
+      > "$PP_DIR/verdicts_threads$threads.txt"
+    if ! cmp -s "$PP_DIR/verdicts_serial.txt" \
+        "$PP_DIR/verdicts_threads$threads.txt"; then
+      echo "FAIL: corpus verdicts differ between serial and" \
+        "--parse-threads $threads parse" >&2
+      diff "$PP_DIR/verdicts_serial.txt" \
+        "$PP_DIR/verdicts_threads$threads.txt" | head >&2
+      exit 1
+    fi
+  done
   APPS=$(grep -c '^app: ' "$PP_DIR/verdicts_serial.txt")
-  echo "corpus verdicts byte-identical, serial vs 4-thread parse ($APPS apps)"
+  echo "corpus verdicts byte-identical, serial vs 4-thread vs auto parse" \
+    "($APPS apps)"
 
   # Same-run speedup gate: the frozen pre-arena front end and the arena
   # front end parse the same app in the same process, so the ratio is

@@ -30,7 +30,7 @@ std::size_t resolve_parse_threads(std::size_t requested,
     const unsigned hw = std::thread::hardware_concurrency();
     n = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
   }
-  if (file_count > 0) n = std::min(n, file_count);
+  n = std::min(n, file_count);
   return std::max<std::size_t>(n, 1);
 }
 
@@ -55,7 +55,7 @@ std::vector<ParsedUnit> parse_files(
   // the only synchronization besides the joins.
   std::atomic<std::size_t> next{0};
   const std::size_t worker_count =
-      std::min(resolve_parse_threads(threads, files.size()), files.size());
+      resolve_parse_threads(threads, files.size());
   std::vector<std::thread> workers;
   workers.reserve(worker_count);
   for (std::size_t w = 0; w < worker_count; ++w) {

@@ -43,7 +43,8 @@ struct ParsedUnit {
 
 // Resolves a ScanOptions-style thread request: 0 = auto (hardware
 // concurrency capped at 8), otherwise the request itself; never more
-// than one thread per file and never less than 1.
+// than one thread per file and never less than 1. No files resolves to
+// 1, whatever was requested.
 [[nodiscard]] std::size_t resolve_parse_threads(std::size_t requested,
                                                 std::size_t file_count);
 
