@@ -289,6 +289,19 @@ void BM_EndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEnd)->Unit(benchmark::kMillisecond);
 
+// The same scan on a fresh Detector per iteration. BM_EndToEnd reuses
+// one Detector, so from its second iteration on every sink query is a
+// SolverQueryCache hit; here every query reaches Z3 and the checker
+// builds its context anew, as in a one-shot scan.
+void BM_EndToEndCold(benchmark::State& state) {
+  for (auto _ : state) {
+    Detector detector;
+    const ScanReport report = detector.scan(sample_app().app);
+    benchmark::DoNotOptimize(report.verdict);
+  }
+}
+BENCHMARK(BM_EndToEndCold)->Unit(benchmark::kMillisecond);
+
 // Cost of the pre-symbolic static pass alone: analyze_root over every
 // locality root of the sample app. Counters report the prune rate and
 // the pass throughput in KLoC/s — the pass is pure AST work (no solver,

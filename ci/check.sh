@@ -23,7 +23,10 @@
 #      with --explain --sarif-out, and structurally validate every
 #      emitted SARIF file (vulnerable apps must carry results with
 #      codeFlows); plus prove evidence is purely additive by requiring
-#      corpus_verdicts output byte-identical with --explain on and off.
+#      corpus_verdicts output byte-identical with --explain on and off;
+#      and require the `--suite all --explain` dump (verdicts, witnesses,
+#      fingerprints) to match the committed golden file, so any solver-
+#      layer change that moves a witness fails here.
 #   8. scand service gate: start the daemon against a fresh state dir,
 #      scan the whole dumped corpus through scanctl and require every
 #      verdict to match single-shot scan_directory; scan it all again
@@ -257,6 +260,16 @@ if ! cmp -s "$SARIF_DIR/verdicts_plain.txt" "$SARIF_DIR/verdicts_explain.txt"; t
   exit 1
 fi
 echo "corpus verdicts byte-identical with --explain on/off"
+GOLDEN_VERDICTS=tests/golden/corpus_verdicts_all_explain.txt
+"$BUILD_DIR/examples/corpus_verdicts" --suite all --explain \
+  > "$SARIF_DIR/verdicts_all_explain.txt"
+if ! cmp -s "$GOLDEN_VERDICTS" "$SARIF_DIR/verdicts_all_explain.txt"; then
+  echo "FAIL: corpus_verdicts --suite all --explain differs from" \
+       "$GOLDEN_VERDICTS (verdict or witness drift)" >&2
+  diff "$GOLDEN_VERDICTS" "$SARIF_DIR/verdicts_all_explain.txt" | head -20 >&2
+  exit 1
+fi
+echo "corpus verdicts + witnesses match $GOLDEN_VERDICTS"
 SARIF_APPS=0
 SARIF_VULN=0
 while IFS= read -r -d '' appdir; do

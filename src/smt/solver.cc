@@ -41,6 +41,25 @@ std::string Model::to_string() const {
   return out;
 }
 
+std::string to_smt2(z3::context& ctx,
+                    const std::vector<z3::expr>& constraints) {
+  // The arguments z3::solver::to_smt2() passes, without the solver it
+  // needs to hold the assertions. `formula` keeps the `true` of the
+  // empty case alive across the call.
+  const z3::expr formula =
+      constraints.empty() ? ctx.bool_val(true) : constraints.back();
+  std::vector<Z3_ast> assumptions;
+  assumptions.reserve(constraints.size());
+  for (std::size_t i = 0; i + 1 < constraints.size(); ++i) {
+    assumptions.push_back(constraints[i]);
+  }
+  const char* text = Z3_benchmark_to_smtlib_string(
+      ctx, "", "", "unknown", "", static_cast<unsigned>(assumptions.size()),
+      assumptions.data(), formula);
+  ctx.check_error();
+  return text;
+}
+
 Checker::Checker(unsigned timeout_ms, unsigned max_retries)
     : timeout_ms_(timeout_ms), max_retries_(max_retries) {}
 
@@ -79,19 +98,22 @@ SolverOutcome Checker::check(const std::vector<z3::expr>& constraints) {
       // here degrades to an unknown outcome (transient ones retry).
       FaultInjector::checkpoint("solve-attempt");
 
-      // Re-serialize the query and solve it in a scratch context. Z3
-      // 4.8.x's sequence solver is sensitive to AST creation order: the
-      // same formula that solves in milliseconds in a freshly-numbered
-      // context can hit a multi-second search when its terms were built
-      // incrementally by the translator. Round-tripping through SMT-LIB
-      // renumbers the ASTs and makes solve times reproducible. Symbol
-      // names are preserved, so model extraction is unaffected.
-      z3::solver builder(ctx_);
-      for (const z3::expr& c : constraints) builder.add(c);
-      const std::string smt2 = builder.to_smt2();
+      // Re-serialize the query and solve it in a fresh scratch context
+      // per attempt. Z3 4.8.x's sequence solver is sensitive to AST
+      // creation order: the same formula that solves in milliseconds in
+      // a freshly-numbered context can hit a multi-second search when
+      // its terms were built incrementally by the translator.
+      // Round-tripping through SMT-LIB renumbers the ASTs and makes
+      // solve times reproducible; reusing one context across queries
+      // would number each query's terms after the previous ones'.
+      // Symbol names are preserved, so model extraction is unaffected.
+      // The solver is `simple`: each query is checked once, so the
+      // default solver's tactic preprocessing (~8 ms a query) buys
+      // nothing, and the simple one gives the same results and models.
+      const std::string smt2 = to_smt2(ctx(), constraints);
 
       z3::context scratch;
-      z3::solver solver(scratch);
+      z3::solver solver(scratch, z3::solver::simple());
       z3::params params(scratch);
       params.set("timeout", effective);
       solver.set(params);

@@ -62,8 +62,20 @@ struct SolverOutcome {
   bool deadline_exceeded = false;
 };
 
-// Wraps one z3::context + z3::solver pair. Not thread-safe (Z3 contexts
-// are not); create one Checker per scan thread.
+// Renders `constraints` as one SMT-LIB benchmark, byte-identical to
+// z3::solver::to_smt2() on a solver holding the same assertions: every
+// constraint but the last is an assertion and the last is the formula
+// (`true` when there are none, built in `ctx`). All constraints must
+// belong to `ctx`.
+[[nodiscard]] std::string to_smt2(z3::context& ctx,
+                                  const std::vector<z3::expr>& constraints);
+
+// Owns the z3::context that query terms are built in. The context is
+// created on the first ctx() call, so a scan whose roots the static pass
+// prunes never pays for one. check() prints the constraints with
+// to_smt2() and solves the text with a `simple` solver in a fresh
+// scratch context per attempt (solver.cc says why). Not thread-safe (Z3
+// contexts are not); create one Checker per scan thread.
 class Checker {
  public:
   // Escalated per-attempt timeouts never exceed this.
@@ -74,7 +86,10 @@ class Checker {
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
-  [[nodiscard]] z3::context& ctx() { return ctx_; }
+  [[nodiscard]] z3::context& ctx() {
+    if (!ctx_.has_value()) ctx_.emplace();
+    return *ctx_;
+  }
 
   // Bounds all subsequent check() calls: per-attempt timeouts are
   // clamped to the remaining wall-clock time, and an already-expired
@@ -126,7 +141,7 @@ class Checker {
   [[nodiscard]] std::uint64_t retry_count() const { return retry_count_; }
 
  private:
-  z3::context ctx_;
+  std::optional<z3::context> ctx_;
   unsigned timeout_ms_;
   unsigned max_retries_;
   Deadline deadline_;

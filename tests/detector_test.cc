@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "core/detector/report_io.h"
+#include "support/telemetry.h"
 
 namespace uchecker::core {
 namespace {
@@ -400,6 +401,64 @@ move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
   const ScanReport report = Detector().scan(app);
   EXPECT_GT(report.parse_errors, 0u);
   EXPECT_EQ(report.verdict, Verdict::kVulnerable);
+}
+
+// --- repeat-run solver stability ------------------------------------------
+// Z3 4.8's sequence solver is sensitive to AST creation order (the old
+// Ternary flake). Every cold scan of the same app must reach the same
+// verdict and witnesses, with every query decided on its first attempt:
+// no retry and no escalated timeout.
+
+void expect_stable_over_repeats(const std::string& php, Verdict expected) {
+  constexpr int kRuns = 20;
+  std::string first_witnesses;
+  for (int run = 0; run < kRuns; ++run) {
+    telemetry::Telemetry telemetry;
+    ScanOptions options;
+    options.prefilter = false;  // keep every root on the solver path
+    options.telemetry = &telemetry;
+    const ScanReport report = scan(php, options);  // fresh Detector: cold
+    ASSERT_EQ(report.verdict, expected) << "run " << run;
+    EXPECT_EQ(report.solver_retries, 0u) << "run " << run;
+    std::string witnesses;
+    for (const Finding& f : report.findings) witnesses += f.witness + "\n";
+    if (run == 0) {
+      first_witnesses = witnesses;
+    } else {
+      EXPECT_EQ(witnesses, first_witnesses) << "run " << run;
+    }
+    const std::vector<const telemetry::ScanTrace*> traces = telemetry.traces();
+    ASSERT_EQ(traces.size(), 1u);
+    const std::vector<telemetry::SolverCallSample>& calls =
+        traces[0]->solver_calls();
+    ASSERT_FALSE(calls.empty()) << "run " << run;
+    for (const telemetry::SolverCallSample& call : calls) {
+      EXPECT_EQ(call.attempts, 1u) << "run " << run;
+      EXPECT_EQ(call.escalations, 0u) << "run " << run;
+      EXPECT_FALSE(call.deadline_exceeded) << "run " << run;
+    }
+  }
+}
+
+TEST(SolverStability, TernaryDestinationRepeats) {
+  expect_stable_over_repeats(R"(
+$n = $_FILES['f']['name'];
+$dest = isset($_POST['alt']) ? '/alt/' . $n : '/main/' . $n;
+move_uploaded_file($_FILES['f']['tmp_name'], $dest);
+)",
+                             Verdict::kVulnerable);
+}
+
+TEST(SolverStability, SuffixVsBlacklistRefutationRepeats) {
+  // The refutation Z3 4.8 cannot find on the raw suffix form; the
+  // structural trailing-extension rewrite keeps it decidable.
+  expect_stable_over_repeats(R"(
+$ext = pathinfo($_FILES['f']['name'], PATHINFO_EXTENSION);
+if ($ext != 'php' && $ext != 'php5' && $ext != 'phtml') {
+    move_uploaded_file($_FILES['f']['tmp_name'], '/www/' . $_FILES['f']['name']);
+}
+)",
+                             Verdict::kNotVulnerable);
 }
 
 }  // namespace

@@ -318,16 +318,21 @@ TEST_F(ServiceTest, BackpressureRejectsWhenQueueFull) {
   ScanService service(options);
   ASSERT_TRUE(service.start());
 
-  // Make each scan slow enough to hold the single worker.
+  // Make each scan slow enough to hold the single worker. The held app
+  // is the vulnerable variant: the static pass prunes every root of the
+  // benign one, so its scan would never reach the interp stall.
   FaultInjector::instance().arm("interp", FaultInjector::Action::kStall,
                                 300ms, /*max_hits=*/-1);
-  auto first = service.submit(synth("bp-0", false));
+  auto first = service.submit(synth("bp-0", true));
   ASSERT_TRUE(first.valid());
-  // Wait for the worker to pick it up so the queue is empty again.
-  for (int i = 0; i < 200 && service.queue_depth() > 0; ++i) {
+  // Wait for the worker to enter the stall so the queue is empty again.
+  for (int i = 0; i < 200 && (service.queue_depth() > 0 ||
+                              FaultInjector::instance().hits("interp") == 0);
+       ++i) {
     std::this_thread::sleep_for(5ms);
   }
   ASSERT_EQ(service.queue_depth(), 0u);
+  ASSERT_GE(FaultInjector::instance().hits("interp"), 1u);
 
   auto queued = service.submit(synth("bp-1", false));
   ASSERT_TRUE(queued.valid());  // fills the queue

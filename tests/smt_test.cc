@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "support/deadline.h"
 #include "support/fault_injector.h"
@@ -212,6 +214,71 @@ TEST(Checker, IntStringConversions) {
             SatResult::kSat);
   EXPECT_EQ(checker.check(ctx.string_val("17").stoi() == 17).result,
             SatResult::kSat);
+}
+
+// ---------------------------------------------------------------------------
+// SMT-LIB serialization. check() parses to_smt2()'s text in its scratch
+// context, so the text must be exactly what a solver holding the same
+// assertions prints: the bytes decide the scratch context's AST order.
+
+std::string solver_text(z3::context& ctx,
+                        const std::vector<z3::expr>& constraints) {
+  z3::solver solver(ctx);
+  for (const z3::expr& c : constraints) solver.add(c);
+  return solver.to_smt2();
+}
+
+TEST(ToSmt2, MatchesSolverOnBool) {
+  z3::context ctx;
+  const z3::expr a = ctx.bool_const("a");
+  const z3::expr b = ctx.bool_const("b");
+  const std::vector<z3::expr> constraints{a || b, !a, z3::implies(b, a)};
+  EXPECT_EQ(to_smt2(ctx, constraints), solver_text(ctx, constraints));
+}
+
+TEST(ToSmt2, MatchesSolverOnInt) {
+  z3::context ctx;
+  const z3::expr x = ctx.int_const("x");
+  const z3::expr y = ctx.int_const("y");
+  const std::vector<z3::expr> one{x + 1 == y};
+  EXPECT_EQ(to_smt2(ctx, one), solver_text(ctx, one));
+  const std::vector<z3::expr> two{x > 5, x < 3};
+  EXPECT_EQ(to_smt2(ctx, two), solver_text(ctx, two));
+}
+
+TEST(ToSmt2, MatchesSolverOnStrings) {
+  z3::context ctx;
+  const z3::expr name = ctx.string_const("s_filename");
+  const z3::expr ext = ctx.string_const("s_ext");
+  const z3::expr dst =
+      z3::concat(z3::concat(ctx.string_val("/u/"), name),
+                 z3::concat(ctx.string_val("."), ext));
+  const std::vector<z3::expr> constraints{
+      !ext.contains(ctx.string_val(".")),
+      !ext.contains(ctx.string_val("/")),
+      z3::suffixof(ctx.string_val(".php"), dst)};
+  const std::string text = to_smt2(ctx, constraints);
+  EXPECT_EQ(text, solver_text(ctx, constraints));
+  EXPECT_NE(text.find("str.suffixof"), std::string::npos);
+  EXPECT_NE(text.find("str.contains"), std::string::npos);
+}
+
+TEST(ToSmt2, MatchesSolverWhenEmpty) {
+  z3::context ctx;
+  const std::string text = to_smt2(ctx, {});
+  EXPECT_EQ(text, solver_text(ctx, {}));
+  // Z3 drops the `true` formula: an empty set prints no assertion.
+  EXPECT_EQ(text.find("(assert"), std::string::npos) << text;
+  EXPECT_NE(text.find("(check-sat)"), std::string::npos) << text;
+}
+
+TEST(Checker, EmptyConjunctionIsSatOnFreshChecker) {
+  // No ctx() call before check(): the context is created on demand.
+  Checker checker;
+  const SolverOutcome outcome = checker.check(std::vector<z3::expr>{});
+  EXPECT_EQ(outcome.result, SatResult::kSat);
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(checker.check_count(), 1u);
 }
 
 }  // namespace
